@@ -2,7 +2,10 @@
 
 The incremental subsystem re-verifies only the query-space partitions whose
 dependency closure a zone delta touched.  This benchmark warms an
-:class:`IncrementalVerifier` on a flat zone, then applies batches of
+:class:`IncrementalVerifier` with the by-label planner (one unit per
+subtree; under the default equivalence-class planner an rdata update
+recomputes nothing, so there is no curve to draw) on a flat zone, then
+applies batches of
 k ∈ {1, 4, 16} record-level rdata updates and compares the incremental
 re-verification against a from-scratch monolithic run on the same zone —
 wall time and solver checks.  Expected shape: speedup is largest for k=1
@@ -22,7 +25,7 @@ import json
 import sys
 import time
 
-from repro.core.pipeline import verify_engine
+from repro.core.pipeline import VerificationSession
 from repro.dns.rdata import ARdata
 from repro.dns.records import ResourceRecord
 from repro.dns.rtypes import RRType
@@ -79,7 +82,8 @@ def rdata_update_delta(zone, k, round_no):
 def run_curve(num_hosts=DEFAULT_HOSTS, ks=DEFAULT_KS, version=VERSION):
     """Warm once, then one row per k: incremental apply vs scratch."""
     zone = bench_zone(num_hosts)
-    verifier = IncrementalVerifier(zone, version, cache=SummaryCache(memory_only=True))
+    verifier = IncrementalVerifier(zone, version, planner="by-label",
+                                   cache=SummaryCache(memory_only=True))
     t0 = time.perf_counter()
     warm = verifier.verify_current()
     warm_seconds = time.perf_counter() - t0
@@ -94,7 +98,7 @@ def run_curve(num_hosts=DEFAULT_HOSTS, ks=DEFAULT_KS, version=VERSION):
         inc_seconds = time.perf_counter() - t0
 
         t0 = time.perf_counter()
-        scratch = verify_engine(verifier.zone, version)
+        scratch = VerificationSession(verifier.zone, version).verify()
         scratch_seconds = time.perf_counter() - t0
 
         assert outcome.result.verified == scratch.verified

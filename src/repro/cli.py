@@ -52,7 +52,8 @@ def _runtime_parent() -> argparse.ArgumentParser:
                        help="cooperative wall-clock deadline per unit; "
                        "exhaustion yields an UNKNOWN verdict, not a kill")
     group.add_argument("--fuel", type=int, default=None,
-                       help="symbolic step budget; exhaustion yields UNKNOWN")
+                       help="symbolic step budget per unit; exhaustion "
+                       "yields UNKNOWN")
     group.add_argument("--cache", default=None, metavar="DIR",
                        help="persistent summary/refinement cache directory "
                        "(safe to share between concurrent workers)")
@@ -62,12 +63,6 @@ def _runtime_parent() -> argparse.ArgumentParser:
     group.add_argument("--faults", default=None, metavar="SPEC",
                        help="fault plan: 'seed:<N>[:<rate>]' or "
                        "'site=count,...' (see repro.resilience.faults)")
-    group.add_argument("--planner", default=None,
-                       choices=["by-label", "equivalence-class"],
-                       help="query planner: 'by-label' (one unit per "
-                       "below-apex subtree; the default) or "
-                       "'equivalence-class' (one unit per behavioural "
-                       "class; O(classes) solver work on large zones)")
     group.add_argument("--no-analysis", action="store_true",
                        help="skip the static panic-pruning pass (ablation: "
                        "every panic guard goes to the solver)")

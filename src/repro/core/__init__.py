@@ -2,9 +2,11 @@
 
 Public API:
 
-- :func:`repro.core.pipeline.verify_engine` / ``VerificationSession`` —
-  verify one engine version against the top-level specification on one
-  zone, with layered summarization (paper Figure 6).
+- :func:`repro.core.pipeline.verify_engine` — verify one engine version
+  against the top-level specification on one zone, unit by unit through
+  the equivalence-class planner;
+  ``VerificationSession`` — one unsplit run with layered summarization
+  (paper Figure 6), the building block of every unit and the test oracle.
 - :class:`repro.core.encoding.QueryEncoding` — the symbolic query input.
 - :mod:`repro.core.layers` — the interface configuration.
 - :mod:`repro.core.porting` — the Table-3 porting-cost analysis.

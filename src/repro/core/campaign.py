@@ -20,11 +20,11 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.core.pipeline import VerificationResult, VerificationSession
+from repro.core.options import VerifyOptions
+from repro.core.pipeline import VerificationResult, verify_engine
 from repro.dns.zone import Zone
 from repro.frontend.errors import GoPyError
 from repro.resilience import verdicts as verdicts_mod
-from repro.resilience.budget import Budget
 from repro.resilience.checkpoint import CheckpointWriter, unit_address
 from repro.resilience.faults import InjectedFault
 from repro.symex.errors import SymexError
@@ -207,18 +207,14 @@ def run_unit(
     :class:`VerificationResult` (None when the unit died of a typed
     error) so callers can harvest perf/phase statistics.
     """
-    budget = None
-    if budget_seconds is not None or budget_fuel is not None:
-        budget = Budget(wall_seconds=budget_seconds, fuel=budget_fuel)
+    options = VerifyOptions(budget_seconds=budget_seconds, fuel=budget_fuel)
     started = time.perf_counter()
     divergences = 0
     try:
         if smoke_first:
             smoke = differential_test(zone, version, check_reference=False)
             divergences = len(smoke.divergences)
-        result = VerificationSession(
-            zone, version, cache=cache, budget=budget
-        ).verify()
+        result = verify_engine(zone, version, options, cache=cache)
     except UNIT_ERRORS as exc:
         error_class, detail = verdicts_mod.classify_error(exc)
         return (
@@ -311,8 +307,8 @@ class Campaign:
         shared across every zone of the campaign, so repeated or related
         snapshots replay their summaries and refinement verdicts.
 
-        ``budget_seconds``/``budget_fuel`` bound each *unit* (one zone)
-        with a fresh cooperative :class:`~repro.resilience.Budget`;
+        ``budget_seconds``/``budget_fuel`` bound each plan unit of each
+        zone with a fresh cooperative :class:`~repro.resilience.Budget`;
         exhaustion records an ``UNKNOWN`` verdict and the campaign moves
         on. A unit that dies of a compile/verify error records a typed
         ``ERROR`` verdict instead of aborting the run.

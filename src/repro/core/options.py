@@ -29,12 +29,9 @@ from typing import Dict, Optional
 class VerifyOptions:
     """Every plain-data knob of one verification run.
 
-    ``workers=None`` means "sequential, monolithic" — the historical code
-    path. Any integer (including 1) opts into the partitioned/pooled
-    executor, whose reports are bit-identical across worker counts; the
-    distinction exists because the partitioned merge labels layers
-    differently from a monolithic session, so ``workers=1`` must take the
-    same path as ``workers=8`` for determinism to hold.
+    ``workers=None`` verifies the planner's units in-process; any integer
+    (including 1) runs them through the process pool, whose reports are
+    bit-identical across worker counts.
     """
 
     #: Symbolic query depth; None derives it from the zone.
@@ -44,9 +41,9 @@ class VerifyOptions:
     max_steps: int = 20_000_000
     #: ``False`` is the ablation that inlines every layer.
     use_summaries: bool = True
-    #: Cooperative budget: wall-clock deadline and/or step fuel. In
-    #: parallel mode each worker unit gets a *fresh* budget built from
-    #: these, so the bound is per unit rather than per run.
+    #: Cooperative budget: wall-clock deadline and/or step fuel. Each
+    #: plan unit gets a *fresh* budget built from these, so the bound is
+    #: per unit rather than per run.
     budget_seconds: Optional[float] = None
     fuel: Optional[int] = None
     #: Persistent cache directory (each worker opens its own handle on it;
@@ -66,10 +63,6 @@ class VerifyOptions:
     #: Debug cross-check: at the first symbolic crossing of each elided
     #: guard, re-ask the solver that the panic side really is infeasible.
     analysis_check: bool = False
-    #: Query planner: ``"by-label"`` (one unit per below-apex subtree, the
-    #: historical default and reference oracle) or ``"equivalence-class"``
-    #: (one unit per behavioural class — O(classes) solver work).
-    planner: str = "by-label"
 
     # -- derivation ---------------------------------------------------------
 
@@ -131,7 +124,6 @@ class VerifyOptions:
             "cache_dir": getattr(args, "cache", None),
             "workers": getattr(args, "workers", None),
             "faults": getattr(args, "faults", None),
-            "planner": getattr(args, "planner", None),
         }
         options = cls(**{k: v for k, v in fields.items() if v is not None})
         if getattr(args, "no_analysis", False):

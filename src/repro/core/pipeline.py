@@ -717,91 +717,34 @@ def _summarise_response(resp) -> str:
     )
 
 
-#: Legacy kwargs-bag keys verify_engine still maps onto VerifyOptions.
-_LEGACY_OPTION_KWARGS = frozenset({"depth", "max_paths", "max_steps"})
-_legacy_kwargs_warned = False
-
-
-def verify_engine(
-    zone: Zone,
-    version: str = "verified",
-    options=None,
-    *,
-    cache=None,
-    budget: Optional[Budget] = None,
-    solver: Optional[Solver] = None,
-    **legacy_kwargs,
-) -> VerificationResult:
+def verify_engine(zone: Zone, version: str = "verified", options=None, *,
+                  cache=None) -> VerificationResult:
     """One-call convenience API: verify ``version`` on ``zone``.
 
     Configuration travels in ``options``
-    (:class:`repro.core.options.VerifyOptions`); live objects — an open
-    ``cache``, a running ``budget``, a custom ``solver`` — stay explicit
-    keyword arguments. When ``options.workers`` is set the run goes
-    through the partitioned pooled executor (:mod:`repro.parallel`),
-    whose merged result is deterministic across worker counts.
+    (:class:`repro.core.options.VerifyOptions`); an open ``cache`` stays
+    an explicit keyword argument. Every run goes through
+    :class:`~repro.incremental.engine.IncrementalVerifier` with the
+    equivalence-class planner: units run in-process when
+    ``options.workers`` is None and through the :mod:`repro.parallel`
+    pool otherwise, and merge the same way either way.
 
-    The pre-``VerifyOptions`` kwargs-bag (``depth=``/``max_paths=``/
-    ``max_steps=`` passed directly) still works but warns once per
-    process; pass ``options=VerifyOptions(...)`` instead.
+    ``elapsed_seconds`` is the wall-clock of this call, compile included;
+    on in-process runs ``sum(phase_seconds.values())`` never exceeds it.
     """
     from repro.core.options import VerifyOptions
+    from repro.incremental.engine import IncrementalVerifier
 
-    global _legacy_kwargs_warned
-    if legacy_kwargs:
-        unknown = set(legacy_kwargs) - _LEGACY_OPTION_KWARGS
-        if unknown:
-            raise TypeError(
-                f"verify_engine() got unexpected keyword argument(s) "
-                f"{sorted(unknown)}; pass options=VerifyOptions(...)"
-            )
-        if not _legacy_kwargs_warned:
-            import warnings
-
-            warnings.warn(
-                "passing verification knobs as **kwargs is deprecated; "
-                "use verify_engine(zone, version, options=VerifyOptions(...))",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            _legacy_kwargs_warned = True
-        options = (options or VerifyOptions()).with_(**legacy_kwargs)
+    started = time.perf_counter()
     if options is None:
         options = VerifyOptions()
     if cache is None:
         cache = options.make_cache()
-    if options.workers is not None:
-        from repro.parallel import verify_partitioned
-
-        return verify_partitioned(zone, version, options=options, cache=cache)
-    if options.planner not in (None, "by-label"):
-        # Non-default planners are inherently unit-based: route the
-        # sequential run through the incremental engine, which plans,
-        # verifies and merges per unit (same merge the pooled path uses).
-        from repro.incremental.engine import IncrementalVerifier
-
-        verifier = IncrementalVerifier(
-            zone,
-            version,
-            cache=cache,
-            depth=options.depth,
-            options=options,
-            max_paths=options.max_paths,
-            max_steps=options.max_steps,
-        )
-        outcome = verifier.verify_current()
-        result = outcome.result
-        if result.cache_stats is None:
-            result.cache_stats = outcome.reuse.cache
-        return result
-    if budget is None:
-        budget = options.make_budget()
-    session = VerificationSession(
-        zone,
-        version,
-        solver=solver,
-        cache=cache,
-        budget=budget,
-        **options.session_kwargs(),
-    )
-    return session.verify(use_summaries=options.use_summaries)
+    verifier = IncrementalVerifier(zone, version, cache=cache,
+                                   depth=options.depth,
+                                   workers=options.workers, options=options)
+    outcome = verifier.verify_current()
+    result = outcome.result
+    result.cache_stats = outcome.reuse.cache
+    result.elapsed_seconds = time.perf_counter() - started
+    return result

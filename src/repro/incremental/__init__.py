@@ -13,14 +13,10 @@ from repro.incremental.delta import (
     Partition,
     RecordChange,
     ZoneDelta,
-    affected_partitions,
     delta_impact,
     diff_zones,
-    partition_closure,
     partition_digest,
-    partition_of_name,
     random_delta,
-    zone_partitions,
 )
 from repro.incremental.digest import (
     engine_digest,
@@ -67,14 +63,10 @@ __all__ = [
     "Partition",
     "RecordChange",
     "ZoneDelta",
-    "affected_partitions",
     "delta_impact",
     "diff_zones",
-    "partition_closure",
     "partition_digest",
-    "partition_of_name",
     "random_delta",
-    "zone_partitions",
     "engine_digest",
     "layers_digest",
     "record_digest",

@@ -49,7 +49,6 @@ changed. The observable set ("closure") of a partition is:
 
 from __future__ import annotations
 
-import warnings
 from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
@@ -397,64 +396,6 @@ def delta_impact(old: Zone, new: Zone) -> DeltaImpact:
         p.key for p in _zone_partitions_impl(new) if p.key not in affected
     ]
     return DeltaImpact(tuple(affected), tuple(layers), tuple(reusable))
-
-
-# ---------------------------------------------------------------------------
-# Deprecated module-level helpers (PR 9): the planner API supersedes them
-# ---------------------------------------------------------------------------
-
-_partition_helpers_warned = False
-
-
-def _warn_partition_helper(name: str) -> None:
-    # One warning per process, like the verify_engine kwargs-bag migration:
-    # loud enough to steer new code, quiet enough not to flood callers
-    # that loop over partitions.
-    global _partition_helpers_warned
-    if _partition_helpers_warned:
-        return
-    _partition_helpers_warned = True
-    warnings.warn(
-        f"repro.incremental.delta.{name} is deprecated; use the planner "
-        "API instead (repro.incremental.planner.make_planner('by-label'), "
-        "or set VerifyOptions.planner)",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
-def zone_partitions(zone: Zone) -> List[Partition]:
-    """Deprecated alias for :meth:`ByLabelPlanner.plan`."""
-    _warn_partition_helper("zone_partitions")
-    from repro.incremental.planner.by_label import ByLabelPlanner
-
-    return [Partition(unit.part_key) for unit in ByLabelPlanner().plan(zone)]
-
-
-def partition_of_name(zone: Zone, name: DnsName) -> str:
-    """Deprecated alias for :meth:`ByLabelPlanner.unit_of_name`."""
-    _warn_partition_helper("partition_of_name")
-    from repro.incremental.planner.by_label import ByLabelPlanner
-
-    return ByLabelPlanner().unit_of_name(zone, name)
-
-
-def partition_closure(zone: Zone, key: str) -> Dict[str, object]:
-    """Deprecated: closure material now backs
-    :meth:`ByLabelPlanner.unit_digest`; depend on the digest, not the
-    material."""
-    _warn_partition_helper("partition_closure")
-    return _partition_closure_impl(zone, key)
-
-
-def affected_partitions(old: Zone, new: Zone) -> List[str]:
-    """Deprecated alias for :meth:`ByLabelPlanner.affected`."""
-    _warn_partition_helper("affected_partitions")
-    from repro.incremental.planner.by_label import ByLabelPlanner
-
-    planner = ByLabelPlanner()
-    planner.plan(old)
-    return planner.affected(diff_zones(old, new))
 
 
 # ---------------------------------------------------------------------------

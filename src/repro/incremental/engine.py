@@ -1,32 +1,30 @@
-"""Delta-driven verification: re-verify only what a zone change invalidates.
+"""Unit-wise verification: every verify, and every zone change after it.
 
-:class:`IncrementalVerifier` holds the current zone snapshot and a
-content-addressed cache of *partition verdicts*. A verification run splits
-the symbolic query space into the partitions of
-:func:`repro.incremental.delta.zone_partitions`, verifies each in a
-restricted session (the partition's constraints are conjoined onto the
-global preconditions), and merges per-partition verdicts into one ordinary
+:class:`IncrementalVerifier` is the one route every verification takes
+(:func:`repro.core.pipeline.verify_engine`, the serve gate, the watch
+daemon, the campaign loops). It holds the current zone snapshot and a
+content-addressed cache of *unit verdicts*. A run asks its query planner
+(the equivalence-class planner; the by-label planner is the test oracle)
+for an ordered list of units, verifies each in a restricted session (the
+unit's constraints are conjoined onto the global preconditions), and
+merges the unit verdicts into one ordinary
 :class:`~repro.core.pipeline.VerificationResult`. Verdicts are cached; a
 subsequent run — typically after :meth:`IncrementalVerifier.apply` applied
-a :class:`~repro.incremental.delta.ZoneDelta` — replays every partition
-whose dependency closure is unchanged and re-runs only the rest.
+a :class:`~repro.incremental.delta.ZoneDelta` — replays every unit whose
+key is unchanged and re-runs only the rest.
 
 Witness stability (why replayed results are bit-identical)
 ----------------------------------------------------------
 
 A cached verdict stores the *decoded* bug reports of its original run.
 Replaying them must reproduce exactly what a fresh run would report, so the
-cache key pins everything the restricted run can observe: the engine and
-layer-config digests, the partition's dependency closure, the encoding
-depth, **and the zone's full label universe plus top-label set**. The last
-two look redundant but are not: interner codes are assigned by global label
-rank, and the walk's first branch compares against every apex child, so
-path conditions (and hence the solver's witness models) depend on them.
-With all of it pinned, the restricted session's constraint set is
-reproduced exactly and the deterministic solver returns the same models.
-The cost is honest: a delta that adds or removes a *label* invalidates all
-partitions, while rdata-only churn — the dominant production update — keeps
-the universe stable and replays everything untouched.
+cache key pins everything the restricted run can observe. An
+equivalence-class unit runs on its own projected zone, so its key pins the
+unit's content digest, its representative and its gap code: adding a host
+elsewhere in the zone leaves it untouched. A by-label partition runs on the
+full zone, whose interner codes are assigned by global label rank, so its
+key also pins **the zone's full label universe plus top-label set**: under
+that planner a delta that adds or removes a *label* invalidates every unit.
 """
 
 from __future__ import annotations
@@ -67,8 +65,8 @@ from repro.incremental import delta as delta_mod
 
 
 def bug_sort_key(bug: BugReport) -> Tuple:
-    """Canonical order for merged bug lists (partition merge order is not
-    the monolithic session's discovery order)."""
+    """Canonical order for merged bug lists (independent of the order in
+    which units were computed)."""
     return (
         bug.version,
         bug.categories,
@@ -164,7 +162,7 @@ def merge_partition(merged: VerificationResult, part_key: str, verdict: Dict,
         merged.layers.append(
             LayerResult(
                 f"{part_key}:{layer['name']}",
-                "replay" if cached else layer["route"],
+                "cache" if cached else layer["route"],
                 0.0 if cached else layer["elapsed_seconds"],
                 layer["paths"],
                 layer["cases"],
@@ -275,21 +273,21 @@ class IncrementalVerifier:
         self.version = version
         self.cache = cache if cache is not None else SummaryCache(memory_only=True)
         self.depth = depth
-        #: None = recompute misses sequentially with live sessions (the
-        #: historical path). Any integer routes misses through the
-        #: :mod:`repro.parallel` pool — including 1, so worker counts are
-        #: interchangeable (they all run the same worker code and the same
-        #: JSON round-trip).
+        #: None = recompute misses sequentially with live sessions. Any
+        #: integer routes misses through the :mod:`repro.parallel` pool —
+        #: including 1, so worker counts are interchangeable (they all run
+        #: the same worker code and the same JSON round-trip).
         self.workers = workers
-        #: Plain-data knobs shipped to pool workers (live ``session_kwargs``
-        #: objects such as a custom solver cannot cross the boundary and are
-        #: only honoured on the sequential path).
+        #: Plain-data knobs shipped to pool workers.
         self.options = options
-        self.session_kwargs = session_kwargs
-        #: The query planner: an explicit instance/name wins, then
-        #: ``options.planner``, then the by-label default.
-        if planner is None and options is not None:
-            planner = getattr(options, "planner", None)
+        #: Session knobs: the options' plain-data ones, overridden by
+        #: explicit keywords (live objects such as a custom solver cannot
+        #: cross the pool boundary and are only honoured in-process).
+        base = options.session_kwargs() if options is not None else {}
+        base.pop("depth", None)
+        self.session_kwargs = dict(base, **session_kwargs)
+        #: The equivalence-class planner, unless a test or benchmark passes
+        #: an oracle (``planner="by-label"`` or a planner instance).
         self.planner = make_planner(planner)
 
     # -- the delta entry point -----------------------------------------------
@@ -348,7 +346,7 @@ class IncrementalVerifier:
         else:
             fresh = self._recompute_pooled(plan, misses)
 
-        phase_totals: Dict[str, float] = {}
+        phase_totals = {"compile": 0.0, "summarize": 0.0, "solve": 0.0}
         for position, (unit, key) in enumerate(plan):
             if position in cached:
                 verdict, bugs = cached[position]
@@ -369,11 +367,13 @@ class IncrementalVerifier:
 
         finalize_merged(merged)
         merged.elapsed_seconds = time.perf_counter() - started
-        if phase_totals:
-            merged.phase_seconds = {
-                phase: round(seconds, 6)
-                for phase, seconds in sorted(phase_totals.items())
-            }
+        # Each phase summed over the freshly computed units; replayed units
+        # add nothing. In-process, every unit runs inside this call, so the
+        # sum never exceeds elapsed_seconds; a pool of N workers can sum
+        # to up to N times it.
+        merged.phase_seconds = {
+            phase: round(seconds, 6) for phase, seconds in phase_totals.items()
+        }
         stats.partitions_total = len(reused) + len(recomputed)
         stats.partitions_reused = len(reused)
         stats.partitions_recomputed = len(recomputed)
@@ -499,11 +499,7 @@ class IncrementalVerifier:
         return base.with_(**changes)
 
     def _analysis_enabled(self) -> bool:
-        if "analysis" in self.session_kwargs:
-            return bool(self.session_kwargs["analysis"])
-        if self.options is not None:
-            return bool(self.options.analysis)
-        return True
+        return bool(self.session_kwargs.get("analysis", True))
 
     # -- internals -------------------------------------------------------------
 
@@ -530,9 +526,9 @@ class IncrementalVerifier:
 
     def _verdict_key(self, unit: PlanUnit) -> Dict:
         if unit.kind == KIND_PARTITION:
-            # The historical by-label key, byte for byte: the restricted
-            # run observes the full zone, so the full label universe and
-            # top set are pinned (see the module docstring).
+            # A by-label partition (or the unsplit "full" unit) observes
+            # the full zone, so the full label universe and top set are
+            # pinned (see the module docstring).
             if unit.part_key == "full":
                 closure = zone_digest(self.zone)
             else:
@@ -662,12 +658,3 @@ class IncrementalVerifier:
             )
         )
         return session.verify(use_summaries=self._use_summaries())
-
-    # Kept as aliases for backward compatibility; the logic moved to the
-    # module level so pool workers can share it.
-    _verdict_of = staticmethod(verdict_of)
-    _replay_bugs = staticmethod(replay_bugs)
-
-    def _merge(self, merged: VerificationResult, part_key: str, verdict: Dict,
-               bugs: List[BugReport], cached: bool) -> None:
-        merge_partition(merged, part_key, verdict, bugs, cached)

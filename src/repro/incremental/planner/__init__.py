@@ -1,9 +1,9 @@
 """Query planners: how a verification run splits the query space.
 
 See :mod:`repro.incremental.planner.protocol` for the abstraction,
-:mod:`~repro.incremental.planner.by_label` for the historical default and
 :mod:`~repro.incremental.planner.ec` for the equivalence-class planner
-that makes million-record zones tractable.
+every verification path uses and
+:mod:`~repro.incremental.planner.by_label` for the by-label test oracle.
 """
 
 from repro.incremental.planner.by_label import ByLabelPlanner

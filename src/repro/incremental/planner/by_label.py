@@ -1,13 +1,11 @@
-"""The historical query planner: one unit per below-apex subtree.
+"""The by-label query planner: one unit per below-apex subtree.
 
-This is the behaviour PRs 1–8 shipped, lifted verbatim behind the
-:class:`~repro.incremental.planner.protocol.QueryPlanner` protocol: the
-plan is exactly :func:`repro.incremental.delta.zone_partitions`, unit
-digests are exactly :func:`repro.incremental.delta.partition_digest`, and
-a delta's affected set is exactly the digest diff the incremental engine
-has always replayed against. It stays the default planner and the
-reference oracle the equivalence-class planner is bit-identity-tested
-against.
+The plan is the query-space partitions of :mod:`repro.incremental.delta`
+(``apex``/``outside``/``miss``/``sub:<label>``), unit digests are
+:func:`repro.incremental.delta.partition_digest`, and a delta's affected
+set is the digest diff. No production path uses it: it is the reference
+oracle the equivalence-class planner is bit-identity-tested against,
+reached through ``IncrementalVerifier(..., planner="by-label")``.
 """
 
 from __future__ import annotations

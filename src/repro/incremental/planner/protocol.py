@@ -1,24 +1,15 @@
 """The query-planning protocol: how a verification run splits the query space.
 
-Since PR 1 the query space of one verification run has been partitioned by
-the first below-apex label (:func:`repro.incremental.delta.zone_partitions`),
-which produces one verification unit per apex child — linear in zone size.
-This module promotes that choice to a first-class, pluggable abstraction:
-
 - a :class:`QueryPlanner` turns a zone into an ordered list of
   :class:`PlanUnit`\\ s, each describing one restricted symbolic run;
-- :class:`~repro.incremental.planner.by_label.ByLabelPlanner` reproduces
-  the historical per-subtree behaviour exactly (it is the default and the
-  reference oracle);
 - :class:`~repro.incremental.planner.ec.ECPlanner` collapses behaviourally
   identical subtrees into equivalence classes and verifies one
   representative per class (Groot's label-graph idea), which is what makes
-  million-record zones tractable.
-
-The planner choice travels in ``VerifyOptions.planner`` (``"by-label"`` or
-``"equivalence-class"``) and threads through :class:`repro.Session`, the
-:class:`~repro.incremental.engine.IncrementalVerifier`, the parallel
-executor and the verdict-cache keys.
+  million-record zones tractable. Every verification path uses it;
+- :class:`~repro.incremental.planner.by_label.ByLabelPlanner` splits by
+  the first below-apex label, one unit per apex child — linear in zone
+  size. It is the reference oracle that tests and benchmarks pass
+  explicitly (``IncrementalVerifier(..., planner="by-label")``).
 """
 
 from __future__ import annotations
@@ -28,7 +19,7 @@ from typing import List, Optional, Tuple
 
 from repro.solver import eq, ge
 
-#: Canonical planner names (the ``VerifyOptions.planner`` vocabulary).
+#: Canonical planner names (the :func:`make_planner` vocabulary).
 BY_LABEL = "by-label"
 EQUIVALENCE_CLASS = "equivalence-class"
 PLANNERS = (BY_LABEL, EQUIVALENCE_CLASS)
@@ -85,7 +76,7 @@ class QueryPlanner:
     content digest the verdict cache keys on.
     """
 
-    #: Canonical planner name (``VerifyOptions.planner`` value).
+    #: Canonical planner name (a :func:`make_planner` spec).
     name: str = "abstract"
 
     def plan(self, zone) -> List[PlanUnit]:
@@ -148,19 +139,20 @@ def unit_preconditions(part_key: str, gap_code: Optional[int], encoding):
     return Partition(part_key).preconditions(encoding)
 
 
-def make_planner(spec) -> QueryPlanner:
+def make_planner(spec=None) -> QueryPlanner:
     """A planner instance from a name (``by-label``/``equivalence-class``)
-    or an existing :class:`QueryPlanner` (returned as-is)."""
+    or an existing :class:`QueryPlanner` (returned as-is); None is the
+    equivalence-class planner."""
     if isinstance(spec, QueryPlanner):
         return spec
-    if spec in (None, BY_LABEL):
-        from repro.incremental.planner.by_label import ByLabelPlanner
-
-        return ByLabelPlanner()
-    if spec == EQUIVALENCE_CLASS:
+    if spec in (None, EQUIVALENCE_CLASS):
         from repro.incremental.planner.ec import ECPlanner
 
         return ECPlanner()
+    if spec == BY_LABEL:
+        from repro.incremental.planner.by_label import ByLabelPlanner
+
+        return ByLabelPlanner()
     raise ValueError(
         f"unknown planner {spec!r}; expected one of {', '.join(PLANNERS)}"
     )

@@ -8,7 +8,7 @@ bit-identical to the sequential one's for any worker count. See
 """
 
 from repro.parallel.counters import PerfCounters, perf_phases, unit_perf
-from repro.parallel.executor import run_campaign_parallel, verify_partitioned
+from repro.parallel.executor import run_campaign_parallel
 from repro.parallel.pool import DIED, OK, TIMEOUT, run_units
 from repro.parallel.worker import campaign_unit_worker, partition_worker
 
@@ -17,7 +17,6 @@ __all__ = [
     "perf_phases",
     "unit_perf",
     "run_campaign_parallel",
-    "verify_partitioned",
     "run_units",
     "campaign_unit_worker",
     "partition_worker",

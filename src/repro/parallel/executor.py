@@ -1,16 +1,12 @@
-"""The parallel verification executor: campaigns and partitioned verifies.
+"""The parallel campaign executor.
 
-Two fan-out granularities, one pool primitive:
-
-- :func:`run_campaign_parallel` fans a campaign's units (zone × engine
-  version) across worker processes and merges their typed verdicts into
-  a :class:`~repro.core.campaign.CampaignReport` whose *canonical*
-  projection is bit-identical to the sequential loop's — for any worker
-  count, under resume, and under per-unit fault injection;
-- :func:`verify_partitioned` fans the query-space partitions of a
-  *single* verify across the pool via
-  :class:`~repro.incremental.engine.IncrementalVerifier` and returns the
-  deterministically merged :class:`VerificationResult`.
+:func:`run_campaign_parallel` fans a campaign's units (zone × engine
+version) across worker processes and merges their typed verdicts into a
+:class:`~repro.core.campaign.CampaignReport` whose *canonical* projection
+is bit-identical to the sequential loop's — for any worker count, under
+resume, and under per-unit fault injection. (The plan units of a single
+verify fan out through the same pool from
+:class:`~repro.incremental.engine.IncrementalVerifier`.)
 
 Determinism is structural, not accidental: units are indexed before
 anything runs, every worker executes the exact function the sequential
@@ -158,37 +154,3 @@ def run_campaign_parallel(
     report.perf = perf.finish().to_json()
     return report
 
-
-def verify_partitioned(zone: Zone, version: str = "verified", options=None,
-                       cache=None):
-    """One verify, its query-space partitions fanned across the pool.
-
-    Routes through :class:`~repro.incremental.engine.IncrementalVerifier`
-    (partition split, verdict cache, deterministic merge) with its
-    pooled miss-recompute path enabled; the merged
-    :class:`~repro.core.pipeline.VerificationResult` is identical for
-    any worker count because every count — including 1 — runs the same
-    worker function and the same JSON round-trip per partition.
-    """
-    from repro.core.options import VerifyOptions
-    from repro.incremental.engine import IncrementalVerifier
-
-    if options is None:
-        options = VerifyOptions(workers=1)
-    if cache is None:
-        cache = options.make_cache()
-    verifier = IncrementalVerifier(
-        zone,
-        version,
-        cache=cache,
-        depth=options.depth,
-        workers=options.workers if options.workers is not None else 1,
-        options=options,
-        max_paths=options.max_paths,
-        max_steps=options.max_steps,
-    )
-    outcome = verifier.verify_current()
-    result = outcome.result
-    if result.cache_stats is None:
-        result.cache_stats = outcome.reuse.cache
-    return result

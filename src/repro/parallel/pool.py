@@ -17,7 +17,11 @@ pool can go wrong:
   ``"timeout"`` so the caller can degrade them to
   ``UNKNOWN(partial-coverage)`` instead of hanging forever. Budgets are
   cooperative, so a stall can only mean a worker wedged outside any
-  charge point; the grace period is sized from the unit budget.
+  charge point; the grace period is sized from the unit budget;
+- a **parent death** (SIGKILL of the run) would leave the workers blocked
+  on the call queue forever: every worker inherits the queue's write end,
+  so no EOF ever arrives. Each worker therefore polls ``os.getppid()`` and
+  exits once it has been reparented.
 
 ``workers <= 1`` (or a single payload) runs everything in-process with
 identical semantics and no pool overhead — worker functions are
@@ -34,6 +38,7 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+import threading
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
@@ -45,6 +50,9 @@ DIED = "died"
 TIMEOUT = "timeout"
 
 _ENV_START = "REPRO_MP_START"
+
+#: How often a pool worker checks that the process that started it lives.
+PARENT_POLL_SECONDS = 0.25
 
 
 def mp_context():
@@ -58,6 +66,18 @@ def mp_context():
             f"{_ENV_START}={chosen!r} not available here (have {methods})"
         )
     return multiprocessing.get_context(chosen)
+
+
+def _exit_with_parent(parent: int) -> None:
+    """Pool-worker initializer: a daemon thread that ends the worker as
+    soon as ``parent`` is no longer its parent process."""
+
+    def watch() -> None:
+        while os.getppid() == parent:
+            time.sleep(PARENT_POLL_SECONDS)
+        os._exit(1)
+
+    threading.Thread(target=watch, name="parent-watch", daemon=True).start()
 
 
 def _kill_pool_processes(pool: ProcessPoolExecutor) -> None:
@@ -91,7 +111,10 @@ def run_units(
         return
 
     with ProcessPoolExecutor(
-        max_workers=min(workers, len(payloads)), mp_context=mp_context()
+        max_workers=min(workers, len(payloads)),
+        mp_context=mp_context(),
+        initializer=_exit_with_parent,
+        initargs=(os.getpid(),),
     ) as pool:
         futures = {
             pool.submit(worker, payload): index

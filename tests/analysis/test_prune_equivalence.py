@@ -79,11 +79,16 @@ def test_pruning_is_bit_identical_under_both_planners(planner, version):
     route — the planner changes how work is unitized, never what is
     proved. (v3.0 rides along as a buggy version: BUG reports must be
     bit-identical too.)"""
-    from repro.core import VerifyOptions, verify_engine
+    from repro.core import VerifyOptions
+    from repro.incremental.engine import IncrementalVerifier
+
+    def verify(analysis):
+        return IncrementalVerifier(
+            zone, version, planner=planner,
+            options=VerifyOptions(analysis=analysis),
+        ).verify_current().result
 
     zone = minimal_zone()
-    off = verify_engine(zone, version, options=VerifyOptions(
-        planner=planner, analysis=False))
-    on = verify_engine(zone, version, options=VerifyOptions(
-        planner=planner, analysis=True))
+    off = verify(False)
+    on = verify(True)
     assert canonical(on) == canonical(off)

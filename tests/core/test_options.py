@@ -1,7 +1,6 @@
-"""VerifyOptions: the frozen options carrier and the legacy kwargs shim."""
+"""VerifyOptions: the frozen options carrier; no legacy kwargs bag."""
 
 import dataclasses
-import warnings
 
 import pytest
 
@@ -55,36 +54,12 @@ class TestVerifyOptions:
 
 
 class TestLegacyKwargsShim:
-    def setup_method(self):
-        pipeline._legacy_kwargs_warned = False
-
-    def test_legacy_kwargs_warn_once_and_apply(self):
-        zone = corpus.minimal_zone()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            result = pipeline.verify_engine(zone, "verified", max_paths=50000)
-        deprecations = [w for w in caught
-                        if issubclass(w.category, DeprecationWarning)]
-        assert len(deprecations) == 1
-        assert "VerifyOptions" in str(deprecations[0].message)
-        assert result.verdict == "VERIFIED"
-
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            pipeline.verify_engine(zone, "verified", max_paths=50000)
-        assert not [w for w in caught
-                    if issubclass(w.category, DeprecationWarning)]
+    """The pre-``VerifyOptions`` kwargs bag is gone: knobs passed as
+    keywords are rejected, not folded into the options."""
 
     def test_unknown_kwarg_is_type_error(self):
         with pytest.raises(TypeError, match="workers"):
             pipeline.verify_engine(corpus.minimal_zone(), "verified", workers=2)
-
-    def test_legacy_kwarg_folds_into_options(self):
-        # fuel=10 via options + legacy depth kwarg: both must apply.
-        zone = corpus.minimal_zone()
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            result = pipeline.verify_engine(
-                zone, "verified", VerifyOptions(fuel=10), depth=4
-            )
-        assert result.verdict == "UNKNOWN"
+        with pytest.raises(TypeError, match="max_paths"):
+            pipeline.verify_engine(corpus.minimal_zone(), "verified",
+                                   max_paths=50000)

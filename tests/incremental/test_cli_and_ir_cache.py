@@ -34,7 +34,15 @@ class TestVerifyJson:
         assert payload["verified"] is True
         assert payload["zone_origin"] == "shop.example."
         assert payload["bugs"] == []
-        assert {layer["name"] for layer in payload["layers"]} >= {"Resolve"}
+        from repro.dns.zonefile import parse_zone_text
+        from repro.incremental.planner import ECPlanner
+
+        units = ECPlanner().plan(parse_zone_text(ZONE_TEXT))
+        assert [layer["name"] for layer in payload["layers"]] == [
+            f"{unit.id}:{layer}"
+            for unit in units
+            for layer in ("TreeSearch", "Find", "Resolve")
+        ]
         assert payload["solver_checks"] > 0
 
     def test_json_reports_bugs_and_cache_stats(self, zone_file, tmp_path, capsys):

@@ -8,14 +8,13 @@ The contract under test (see ``repro.incremental.planner.protocol``):
 - ``affected`` returns at least every unit whose digest changed under a
   delta (no stale cached verdict can survive);
 - ``unit_digest`` is stable on unchanged zones and sensitive to content;
-- the deprecated module-level helpers still work, warn exactly once per
-  process, and agree with ``ByLabelPlanner``;
-- the planner choice threads through ``VerifyOptions`` (field, JSON wire
-  format, ``from_args``) and the CLI's shared ``--planner`` flag.
+- the equivalence-class planner is the only one production paths use:
+  ``make_planner(None)`` and ``IncrementalVerifier`` default to it, and
+  neither ``VerifyOptions`` nor the CLI can select another.
 """
 
+import dataclasses
 import random
-import warnings
 
 import pytest
 
@@ -23,7 +22,6 @@ from repro.core.encoding import QueryEncoding
 from repro.core.options import VerifyOptions
 from repro.dns.name import DnsName
 from repro.engine.encoding import ZoneEncoder
-from repro.incremental import delta as delta_mod
 from repro.incremental.delta import Partition, diff_zones, random_delta
 from repro.incremental.planner.by_label import ByLabelPlanner
 from repro.incremental.planner.ec import ECPlanner
@@ -224,29 +222,6 @@ def test_label_graph_retarget_rewires_environment():
 
 
 # ---------------------------------------------------------------------------
-# deprecated module-level helpers
-
-
-def test_partition_helpers_warn_once_and_delegate():
-    zone = _zone()
-    delta_mod._partition_helpers_warned = False
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        parts = delta_mod.zone_partitions(zone)
-        delta_mod.partition_of_name(zone, zone.origin)
-        delta_mod.partition_closure(zone, "apex")
-        delta_mod.affected_partitions(zone, zone)
-    deprecations = [w for w in caught
-                    if issubclass(w.category, DeprecationWarning)]
-    assert len(deprecations) == 1  # one warning per process, not per call
-    assert [p.key for p in parts] == [
-        u.part_key for u in ByLabelPlanner().plan(zone)
-    ]
-    assert delta_mod.partition_of_name(zone, zone.origin) == "apex"
-    assert delta_mod.affected_partitions(zone, zone) == []
-
-
-# ---------------------------------------------------------------------------
 # unit_preconditions
 
 
@@ -276,11 +251,11 @@ def test_unit_preconditions_gap_requires_code():
 
 
 # ---------------------------------------------------------------------------
-# options / factory / CLI threading
+# factory and defaults
 
 
 def test_make_planner_resolution():
-    assert isinstance(make_planner(None), ByLabelPlanner)
+    assert isinstance(make_planner(None), ECPlanner)
     assert isinstance(make_planner(BY_LABEL), ByLabelPlanner)
     assert isinstance(make_planner(EQUIVALENCE_CLASS), ECPlanner)
     instance = ECPlanner()
@@ -289,38 +264,23 @@ def test_make_planner_resolution():
         make_planner("quantum")
 
 
-def test_options_carry_planner_through_the_wire():
-    options = VerifyOptions(planner=EQUIVALENCE_CLASS)
-    assert VerifyOptions().planner == BY_LABEL
-    assert VerifyOptions.from_json(options.to_json()).planner == EQUIVALENCE_CLASS
-
-    class Args:
-        planner = EQUIVALENCE_CLASS
-
-    assert VerifyOptions.from_args(Args()).planner == EQUIVALENCE_CLASS
-
-
-def test_cli_exposes_planner_flag():
-    from repro.cli import build_parser
-
-    parser = build_parser()
-    args = parser.parse_args(
-        ["verify", "--zone", "minimal", "--planner", "equivalence-class"]
-    )
-    assert args.planner == EQUIVALENCE_CLASS
-    with pytest.raises(SystemExit):
-        parser.parse_args(["verify", "--planner", "quantum"])
-
-
-def test_incremental_verifier_reads_planner_from_options():
+def test_incremental_verifier_defaults_to_equivalence_class():
     from repro.incremental.engine import IncrementalVerifier
 
     zone = _zone()
-    verifier = IncrementalVerifier(
-        zone, options=VerifyOptions(planner=EQUIVALENCE_CLASS)
-    )
-    assert isinstance(verifier.planner, ECPlanner)
-    assert isinstance(IncrementalVerifier(zone).planner, ByLabelPlanner)
+    assert isinstance(IncrementalVerifier(zone).planner, ECPlanner)
+    oracle = IncrementalVerifier(zone, planner=BY_LABEL)
+    assert isinstance(oracle.planner, ByLabelPlanner)
+
+
+def test_cli_has_no_planner_flag():
+    from repro.cli import build_parser
+
+    assert "planner" not in {f.name for f in dataclasses.fields(VerifyOptions)}
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(
+            ["verify", "--zone", "minimal", "--planner", "equivalence-class"]
+        )
 
 
 def test_plan_unit_is_frozen_and_describable():

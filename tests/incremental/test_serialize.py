@@ -109,8 +109,9 @@ class TestValues:
 
 class TestSummaryRoundtrip:
     def test_layer_summaries_roundtrip_and_verify(self, zone):
-        """Reloaded summaries drive verification to the same verdict."""
-        baseline = verify_engine(zone, "v1.0")
+        """Reloaded summaries drive verification to the same verdict as a
+        session that summarized them itself."""
+        baseline = VerificationSession(zone, "v1.0").verify()
 
         donor = VerificationSession(zone, "v1.0")
         payloads = []

@@ -67,8 +67,12 @@ class TestWatchDaemon:
         event = daemon.poll_once()
         assert event.reason == "change"
         payload = json.loads(lines[-1])
-        assert payload["reuse"]["partitions_reused"] > 0
-        assert payload["reuse"]["recomputed_keys"] == ["sub:www"]
+        # An rdata-only change leaves every equivalence class's content
+        # digest alone (members are re-validated natively on expansion),
+        # so no unit is recomputed.
+        assert payload["reuse"]["recomputed_keys"] == []
+        assert payload["reuse"]["partitions_reused"] == \
+            payload["reuse"]["partitions_total"] > 0
         assert payload["reuse"]["records_changed"] == 2
 
     def test_buggy_update_reports_bugs(self, zone_file):

@@ -64,7 +64,6 @@ class TestSafetyAcrossZones:
     def test_verified_safe_everywhere(self):
         for zone in make_zones(2):
             result = verify_engine(zone, "verified")
-            assert all(
-                mismatch.kind != "code-panic"
-                for mismatch in result.refinement.mismatches
-            )
+            # VERIFIED requires zero mismatches of any kind, so no reachable
+            # panic ("code-panic") survives in any unit.
+            assert result.verdict == "VERIFIED"

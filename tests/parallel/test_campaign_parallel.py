@@ -20,6 +20,39 @@ TINY = dict(num_hosts=2, num_wildcards=1, num_delegations=0,
             num_cnames=1, num_mx=0)
 
 
+def _proc_stat(pid):
+    """``(state, ppid, starttime)`` of a live process from ``/proc``, or
+    None when it is gone."""
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            fields = handle.read().rsplit(")", 1)[1].split()
+    except OSError:
+        return None
+    return fields[0], int(fields[1]), fields[19]
+
+
+def _children(pid):
+    """``{child pid: starttime}`` for every live child of ``pid``."""
+    children = {}
+    for entry in os.listdir("/proc"):
+        if entry.isdigit():
+            stat = _proc_stat(int(entry))
+            if stat is not None and stat[1] == pid:
+                children[int(entry)] = stat[2]
+    return children
+
+
+def _survivors(processes):
+    """The processes of ``processes`` (pid -> starttime) still running;
+    a zombie or a recycled pid does not count."""
+    alive = []
+    for pid, started in processes.items():
+        stat = _proc_stat(pid)
+        if stat is not None and stat[0] not in "ZX" and stat[2] == started:
+            alive.append(pid)
+    return alive
+
+
 class TestWorkerCountIdentity:
     def test_sequential_equals_pooled(self):
         seq = run_campaign("verified", num_zones=3, seed=11, **TINY)
@@ -92,8 +125,9 @@ class TestResume:
 
     def test_sigkill_mid_parallel_campaign_then_resume(self, tmp_path):
         """Kill the parallel campaign's parent process mid-run; the
-        funneled checkpoint must be loadable and the resumed pooled run
-        bit-identical to an uninterrupted sequential run."""
+        funneled checkpoint must be loadable, the resumed pooled run
+        bit-identical to an uninterrupted sequential run, and no pool
+        worker of the killed run may outlive it."""
         ckpt = tmp_path / "killed.jsonl"
         script = (
             "import sys\n"
@@ -111,6 +145,7 @@ class TestResume:
         )
         deadline = time.monotonic() + 120
         units_at_kill = 0
+        workers = {}
         while time.monotonic() < deadline:
             if proc.poll() is not None:
                 if ckpt.exists():
@@ -121,6 +156,7 @@ class TestResume:
                 lines = [l for l in ckpt.read_text().splitlines() if l.strip()]
                 if len(lines) >= 2:  # header + >= 1 unit
                     units_at_kill = len(lines) - 1
+                    workers = _children(proc.pid)
                     proc.kill()
                     proc.wait()
                     break
@@ -130,6 +166,12 @@ class TestResume:
             proc.wait()
             pytest.fail("parallel campaign never checkpointed a unit")
         assert units_at_kill >= 1
+        if os.path.isdir("/proc"):
+            # Orphaned workers would block on the pool's call queue forever.
+            gone_by = time.monotonic() + 5
+            while _survivors(workers) and time.monotonic() < gone_by:
+                time.sleep(0.05)
+            assert _survivors(workers) == []
 
         header, units, _corrupt = load(ckpt)
         assert header is not None

@@ -3,6 +3,7 @@ the same result for every worker count."""
 
 from repro.core.options import VerifyOptions
 from repro.core.pipeline import verify_engine
+from repro.incremental.planner import ECPlanner
 from repro.zonegen import GeneratorConfig, ZoneGenerator
 
 CONFIG = GeneratorConfig(seed=11, num_hosts=2, num_wildcards=1,
@@ -37,9 +38,13 @@ class TestPartitionedVerify:
         two = verify_engine(zone, "verified", VerifyOptions(workers=2))
         assert canonical(one) == canonical(two)
         assert one.verdict == "VERIFIED"
-        # Partition-prefixed layer names prove the partitioned path ran.
-        assert any(l.name.startswith(("apex:", "outside:", "miss:"))
-                   for l in one.layers)
+        # Every planned unit reports its three layers, in plan order.
+        units = ECPlanner().plan(zone)
+        assert [l.name for l in one.layers] == [
+            f"{unit.id}:{layer}"
+            for unit in units
+            for layer in ("TreeSearch", "Find", "Resolve")
+        ]
 
     def test_worker_counts_agree_on_buggy_engine(self):
         zone = ZoneGenerator(CONFIG).generate(0)
@@ -48,6 +53,27 @@ class TestPartitionedVerify:
         assert canonical(one) == canonical(two)
         assert one.verdict == "BUG"
         assert one.bugs  # bug reports survive the worker JSON round-trip
+
+    def test_options_reach_the_pool_and_the_encoding(self, monkeypatch):
+        """``workers`` fans the units out and ``depth`` sets the query
+        encoding; neither may be dropped on the way to the verifier."""
+        from repro.parallel import pool
+
+        pools = []
+        run_units = pool.run_units
+
+        def counting(worker, payloads, workers, grace=None):
+            pools.append((workers, [p["options"]["depth"] for p in payloads]))
+            return run_units(worker, payloads, workers, grace)
+
+        monkeypatch.setattr(pool, "run_units", counting)
+        zone = ZoneGenerator(CONFIG).generate(0)
+        depth = zone.max_name_depth() + 3
+        result = verify_engine(zone, "verified",
+                               VerifyOptions(workers=2, depth=depth))
+        assert result.verdict == "VERIFIED"
+        assert len(pools) == 1 and pools[0][0] == 2
+        assert set(pools[0][1]) == {depth}
 
     def test_partitioned_result_carries_phase_counters(self):
         zone = ZoneGenerator(CONFIG).generate(0)
