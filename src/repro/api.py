@@ -144,16 +144,10 @@ class Session:
         zone :class:`~repro.zonegen.GeneratorConfig` (``num_hosts=2``,
         ...).
         """
-        import dataclasses
-
         from repro.core.campaign import run_campaign
 
-        option_names = {f.name for f in dataclasses.fields(VerifyOptions)}
-        option_overrides = {k: v for k, v in overrides.items()
-                            if k in option_names}
-        config_kwargs = {k: v for k, v in overrides.items()
-                         if k not in option_names}
-        options = self._options(option_overrides)
+        # run_campaign does the split; overrides win over session options.
+        fields = {**self.options.to_json(), **overrides}
         single = isinstance(versions, str)
         names = [versions] if single else list(versions)
         reports = {}
@@ -166,13 +160,9 @@ class Session:
                 num_zones=num_zones,
                 seed=seed,
                 cache=self.cache,
-                budget_seconds=options.budget_seconds,
-                budget_fuel=options.fuel,
                 checkpoint=target,
                 resume=resume,
-                workers=options.workers,
-                faults=options.faults,
-                **config_kwargs,
+                **fields,
             )
         return reports[versions] if single else reports
 

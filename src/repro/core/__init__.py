@@ -13,7 +13,6 @@ Public API:
 """
 
 from repro.core.campaign import (
-    Campaign,
     CampaignReport,
     UNIT_ERRORS,
     ZoneVerdict,
@@ -41,7 +40,6 @@ from repro.core.pipeline import (
 )
 
 __all__ = [
-    "Campaign",
     "CampaignReport",
     "UNIT_ERRORS",
     "ZoneVerdict",

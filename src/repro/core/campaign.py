@@ -3,33 +3,40 @@
 Section 6.5/9: each run of the overall verification proves the engine
 correct and safe *for one concrete zone snapshot*; the production workflow
 runs it over tens of thousands of randomly generated zone configurations
-(plus the live ones) on every engine iteration. A :class:`Campaign` is that
-loop: a stream of zones, one pipeline run per (zone, version), aggregated
-into a coverage/verdict report.
+(plus the live ones) on every engine iteration. :func:`run_checkpointed`
+is that loop — one :func:`run_unit` per (zone, version), in-process or
+through the :mod:`repro.parallel` pool, with a crash-safe checkpoint —
+and :func:`run_campaign` aggregates it into a coverage/verdict report.
+The campaign service (:mod:`repro.campaign`) drives the same loop.
 
-For speed, each zone is first smoke-tested differentially (milliseconds);
-zones the differential already refutes can optionally skip the heavier
-proof — matching how the production pipeline triages, while keeping the
-proof available per zone.
+With ``smoke_first`` each zone is first smoke-tested differentially
+(milliseconds); the proof still runs, and must refute every zone the
+smoke test refutes.
 """
 
 from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from contextlib import nullcontext
+from dataclasses import dataclass, field, fields
+from functools import partial
+from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.options import VerifyOptions
 from repro.core.pipeline import VerificationResult, verify_engine
 from repro.dns.zone import Zone
 from repro.frontend.errors import GoPyError
+from repro.resilience import faults as faults_mod
 from repro.resilience import verdicts as verdicts_mod
 from repro.resilience.checkpoint import CheckpointWriter, unit_address
-from repro.resilience.faults import InjectedFault
 from repro.symex.errors import SymexError
 from repro.testing import differential_test
 from repro.zonegen import GeneratorConfig, ZoneGenerator
+
+if TYPE_CHECKING:
+    from repro.incremental.engine import ReuseStats
+    from repro.parallel.counters import PerfCounters
 
 
 @dataclass
@@ -186,210 +193,214 @@ class CampaignReport:
 #: Exceptions a unit may die of without aborting the campaign; the plain
 #: RuntimeError of the unsoundness cross-check deliberately is NOT among
 #: them.
-UNIT_ERRORS = (GoPyError, SymexError, InjectedFault, OSError)
+UNIT_ERRORS = (GoPyError, SymexError, faults_mod.InjectedFault, OSError)
+
+
+def _unproven(index: int, zone: Zone, elapsed_seconds: float = 0.0,
+              differential_divergences: int = 0, **typed) -> ZoneVerdict:
+    """The verdict of a unit that produced no proof result."""
+    return ZoneVerdict(
+        zone_index=index,
+        zone_origin=zone.origin.to_text(),
+        records=len(zone),
+        verified=False,
+        bug_categories=(),
+        elapsed_seconds=elapsed_seconds,
+        solver_checks=0,
+        differential_divergences=differential_divergences,
+        **typed,
+    )
 
 
 def run_unit(
     index: int,
     zone: Zone,
     version: str,
-    smoke_first: bool = True,
+    options: VerifyOptions,
     cache=None,
-    budget_seconds: Optional[float] = None,
-    budget_fuel: Optional[int] = None,
-) -> Tuple[ZoneVerdict, Optional[VerificationResult]]:
-    """Verify one (zone, version) campaign unit.
+    base_zone: Optional[Zone] = None,
+) -> Tuple[ZoneVerdict, Optional[VerificationResult], Optional[ReuseStats]]:
+    """Verify one (zone, version) campaign unit under ``options``.
 
-    This is THE unit of work — the sequential :class:`Campaign` loop and
-    the :mod:`repro.parallel` pool workers both call it, which is what
-    makes a parallel campaign's verdicts bit-identical to a sequential
-    one's. Returns the typed verdict plus the underlying
-    :class:`VerificationResult` (None when the unit died of a typed
-    error) so callers can harvest perf/phase statistics.
+    This is THE unit of work: every campaign path runs it, in-process or
+    in a pool worker, which is what makes a pooled campaign's verdicts
+    bit-identical to an in-process one's. The unit always verifies
+    in-process (``options.workers`` is ignored) under a fresh fault plan
+    derived from ``(options.faults, index)``.
+
+    With ``base_zone`` the unit is a *mutation* unit: an
+    :class:`~repro.incremental.engine.IncrementalVerifier` is warmed on
+    the base and adopts ``zone`` through ``diff_to``, exercising the
+    delta-invalidation path the watch daemon and the serve gate rely on.
+
+    Returns the typed verdict, the underlying :class:`VerificationResult`
+    (None when the unit died of a typed error) for perf statistics, and
+    a mutation unit's reuse statistics (None otherwise).
     """
-    options = VerifyOptions(budget_seconds=budget_seconds, fuel=budget_fuel)
+    options = options.with_(workers=None)
+    plan = faults_mod.unit_plan(options.faults, index)
     started = time.perf_counter()
     divergences = 0
+    reuse = None
     try:
-        if smoke_first:
-            smoke = differential_test(zone, version, check_reference=False)
-            divergences = len(smoke.divergences)
-        result = verify_engine(zone, version, options, cache=cache)
+        with faults_mod.active(plan) if plan is not None else nullcontext():
+            if options.smoke_first:
+                smoke = differential_test(zone, version, check_reference=False)
+                divergences = len(smoke.divergences)
+            if base_zone is None:
+                result = verify_engine(zone, version, options, cache=cache)
+            else:
+                from repro.incremental.engine import IncrementalVerifier
+
+                verifier = IncrementalVerifier(
+                    base_zone, version,
+                    cache=cache if cache is not None else options.make_cache(),
+                    options=options, **options.session_kwargs(),
+                )
+                verifier.verify_current()  # warm the base's unit verdicts
+                outcome = verifier.diff_to(zone)
+                result, reuse = outcome.result, outcome.reuse
     except UNIT_ERRORS as exc:
         error_class, detail = verdicts_mod.classify_error(exc)
-        return (
-            ZoneVerdict(
-                zone_index=index,
-                zone_origin=zone.origin.to_text(),
-                records=len(zone),
-                verified=False,
-                bug_categories=(),
-                elapsed_seconds=time.perf_counter() - started,
-                solver_checks=0,
-                differential_divergences=divergences,
-                verdict=verdicts_mod.ERROR,
-                error_class=error_class,
-                error_detail=detail,
-            ),
-            None,
+        verdict = _unproven(
+            index, zone,
+            elapsed_seconds=time.perf_counter() - started,
+            differential_divergences=divergences,
+            verdict=verdicts_mod.ERROR,
+            error_class=error_class,
+            error_detail=detail,
         )
+        return verdict, None, None
     if (
         divergences
         and result.verified
         and result.verdict == verdicts_mod.VERIFIED
     ):
         raise RuntimeError(
-            f"unsound: differential refuted zone {index} but the "
+            f"unsound: differential refuted unit {index} but the "
             f"proof passed ({version})"
         )
-    return (
-        ZoneVerdict(
-            zone_index=index,
-            zone_origin=zone.origin.to_text(),
-            records=len(zone),
-            verified=result.verified,
-            bug_categories=tuple(result.bug_categories()),
-            elapsed_seconds=result.elapsed_seconds,
-            solver_checks=result.solver_checks,
-            differential_divergences=divergences,
-            verdict=result.verdict,
-            unknown_reason=result.unknown_reason,
-            error_class=result.error_class,
-            error_detail=result.error_detail,
-        ),
-        result,
+    verdict = ZoneVerdict(
+        zone_index=index,
+        zone_origin=zone.origin.to_text(),
+        records=len(zone),
+        verified=result.verified,
+        bug_categories=tuple(result.bug_categories()),
+        elapsed_seconds=time.perf_counter() - started,
+        solver_checks=result.solver_checks,
+        differential_divergences=divergences,
+        verdict=result.verdict,
+        unknown_reason=result.unknown_reason,
+        error_class=result.error_class,
+        error_detail=result.error_detail or "",
     )
+    return verdict, result, reuse
 
 
-class Campaign:
-    """Run the pipeline over a stream of zones."""
+@dataclass(frozen=True)
+class CampaignUnit:
+    """One unit as the campaign loop runs it.
 
-    def __init__(
-        self,
-        zones: Optional[Iterable[Zone]] = None,
-        generator_config: Optional[GeneratorConfig] = None,
-        num_zones: int = 10,
+    ``index`` is its stable id (it names the verdict and seeds the unit's
+    fault plan), ``key`` its checkpoint unit-key material; a
+    ``base_zone`` makes it a mutation unit (see :func:`run_unit`).
+    """
+
+    index: int
+    zone: Zone
+    version: str
+    key: Dict
+    base_zone: Optional[Zone] = None
+
+
+def unit_value(unit: CampaignUnit, options: VerifyOptions, cache=None) -> Dict:
+    """Run one unit; the JSON-safe record the loop collects from it."""
+    from repro.parallel.counters import unit_perf
+
+    verdict, result, reuse = run_unit(
+        unit.index, unit.zone, unit.version, options,
+        cache=cache, base_zone=unit.base_zone,
+    )
+    return {
+        "verdict": verdict.to_json(),
+        "perf": unit_perf(result, cache),
+        "incremental": reuse.as_dict() if reuse is not None else None,
+    }
+
+
+def run_checkpointed(
+    units: Sequence[CampaignUnit],
+    options: VerifyOptions,
+    perf: PerfCounters,
+    cache=None,
+    writer: Optional[CheckpointWriter] = None,
+    completed: Optional[Dict[str, Dict]] = None,
+) -> Iterator[Tuple[CampaignUnit, Dict, Optional[Dict]]]:
+    """THE campaign loop; yields ``(unit, verdict, value)`` as units finish.
+
+    Units whose address is in ``completed`` (the checkpoint's records)
+    are replayed first, with ``value`` None. The rest run through
+    :func:`repro.parallel.pool.run_units`: in-process with the caller's
+    live ``cache`` when ``options.workers`` is None, pooled otherwise
+    (each worker opens ``options.cache_dir``). A unit whose worker died
+    is recomputed in the parent — the unit is deterministic, so that
+    yields exactly what the lost worker would have returned. A unit that
+    stalls past :func:`~repro.parallel.pool.grace_seconds` is typed
+    ``UNKNOWN(wall-clock-deadline)``. Every fresh verdict is appended to
+    ``writer`` here, in the parent only; workers never touch the
+    checkpoint, and records land in completion order, which the
+    address-keyed checkpoint does not care about.
+    """
+    # Imported here: the verify path imports this module, and the pool
+    # pulls in multiprocessing.
+    from repro.parallel import pool
+
+    completed = {} if completed is None else completed
+    pending: List[CampaignUnit] = []
+    for unit in units:
+        cached = completed.get(unit_address(unit.key))
+        if cached is None:
+            pending.append(unit)
+            continue
+        perf.units_replayed += 1
+        yield unit, cached, None
+    if options.workers is None:
+        worker = partial(unit_value, options=options, cache=cache)
+        payloads: List = pending
+    else:
+        import pickle
+
+        from repro.parallel.worker import campaign_unit_worker
+
+        worker = campaign_unit_worker
+        payloads = [
+            {"unit": pickle.dumps(unit), "options": options.to_json()}
+            for unit in pending
+        ]
+    for pos, status, value in pool.run_units(
+        worker, payloads, options.workers or 1, pool.grace_seconds(options)
     ):
-        if zones is not None:
-            self._zones = list(zones)
-        else:
-            config = generator_config or GeneratorConfig(
-                num_hosts=4, num_wildcards=1, num_delegations=1,
-                num_cnames=1, num_mx=1,
+        unit = pending[pos]
+        if status == pool.DIED:
+            value = worker(payloads[pos])
+            perf.units_fallback += 1
+            status = pool.OK
+        if status == pool.OK:
+            perf.absorb(value["perf"])
+        else:  # TIMEOUT: the worker wedged outside every budget charge point
+            deadline = _unproven(
+                unit.index, unit.zone,
+                verdict=verdicts_mod.UNKNOWN,
+                unknown_reason=verdicts_mod.REASON_DEADLINE,
             )
-            self._zones = list(ZoneGenerator(config).stream(num_zones))
-
-    @property
-    def zones(self) -> List[Zone]:
-        return list(self._zones)
-
-    #: Kept as an alias for backward compatibility (see module-level
-    #: :data:`UNIT_ERRORS`).
-    _UNIT_ERRORS = UNIT_ERRORS
-
-    def run(
-        self,
-        version: str,
-        smoke_first: bool = True,
-        max_zone_seconds: Optional[float] = None,
-        cache=None,
-        budget_seconds: Optional[float] = None,
-        budget_fuel: Optional[int] = None,
-        checkpoint=None,
-        resume: bool = False,
-    ) -> CampaignReport:
-        """Verify ``version`` on every zone; returns the aggregate report.
-
-        With ``smoke_first`` the differential tester runs before each
-        proof (its divergence count is recorded either way — a sanity
-        cross-check: the prover must refute every zone the tester does).
-        ``cache`` (a :class:`repro.incremental.cache.SummaryCache`) is
-        shared across every zone of the campaign, so repeated or related
-        snapshots replay their summaries and refinement verdicts.
-
-        ``budget_seconds``/``budget_fuel`` bound each plan unit of each
-        zone with a fresh cooperative :class:`~repro.resilience.Budget`;
-        exhaustion records an ``UNKNOWN`` verdict and the campaign moves
-        on. A unit that dies of a compile/verify error records a typed
-        ``ERROR`` verdict instead of aborting the run.
-
-        ``checkpoint`` names a JSONL file that receives one atomic record
-        per completed unit; with ``resume=True`` the units already in it
-        are replayed bit-identically (verdicts, solver-check counts —
-        everything but wall-clock time) instead of re-run, so a SIGKILLed
-        campaign restarts where it died.
-        """
-        report = CampaignReport(version)
-        started = time.perf_counter()
-        writer, completed = self._open_checkpoint(
-            checkpoint, version, smoke_first, resume
-        )
-        for index, zone in enumerate(self._zones):
-            unit_key = self._unit_key(index, zone, version)
-            if writer is not None:
-                cached = completed.get(unit_address(unit_key))
-                if cached is not None:
-                    report.verdicts.append(ZoneVerdict.from_json(cached))
-                    continue
-            verdict = self._run_unit(
-                index, zone, version, smoke_first, cache,
-                budget_seconds, budget_fuel,
-            )
-            report.verdicts.append(verdict)
-            if writer is not None:
-                writer.append(unit_key, verdict.to_json())
-            if (
-                max_zone_seconds is not None
-                and time.perf_counter() - started > max_zone_seconds * len(self._zones)
-            ):
-                break
-        report.elapsed_seconds = time.perf_counter() - started
-        return report
-
-    def _run_unit(
-        self,
-        index: int,
-        zone: Zone,
-        version: str,
-        smoke_first: bool,
-        cache,
-        budget_seconds: Optional[float],
-        budget_fuel: Optional[int],
-    ) -> ZoneVerdict:
-        verdict, _result = run_unit(
-            index, zone, version, smoke_first, cache,
-            budget_seconds, budget_fuel,
-        )
-        return verdict
-
-    # -- checkpoint plumbing ------------------------------------------------
-
-    def _campaign_header(self, version: str, smoke_first: bool) -> Dict:
-        from repro.incremental.digest import engine_digest, zone_digest
-
-        return {
-            "kind": "campaign",
-            "version": version,
-            "engine": engine_digest(version),
-            "smoke_first": smoke_first,
-            "zones": [zone_digest(zone) for zone in self._zones],
-        }
-
-    def _unit_key(self, index: int, zone: Zone, version: str) -> Dict:
-        from repro.incremental.digest import engine_digest, zone_digest
-
-        return {
-            "index": index,
-            "zone": zone_digest(zone),
-            "engine": engine_digest(version),
-        }
-
-    def _open_checkpoint(self, checkpoint, version: str, smoke_first: bool,
-                         resume: bool):
-        if checkpoint is None:
-            return None, {}
-        header = self._campaign_header(version, smoke_first)
-        return CheckpointWriter.open(checkpoint, header, resume=resume)
+            value = {"verdict": deadline.to_json(), "perf": None,
+                     "incremental": None}
+            perf.units_timed_out += 1
+        verdict = value["verdict"]
+        if writer is not None:
+            writer.append(unit.key, verdict)
+            completed[unit_address(unit.key)] = verdict
+        yield unit, verdict, value
 
 
 def run_campaign(
@@ -403,48 +414,81 @@ def run_campaign(
     resume: bool = False,
     workers: Optional[int] = None,
     faults: Optional[str] = None,
-    **config_overrides,
+    zones: Optional[Sequence[Zone]] = None,
+    **overrides,
 ) -> CampaignReport:
-    """Convenience API: generate ``num_zones`` zones and verify ``version``
-    on each; ``cache`` is shared by every zone. Budget and checkpoint
-    arguments are forwarded to :meth:`Campaign.run`.
+    """Verify ``version`` on every zone; returns the aggregate report.
 
-    ``workers`` (any integer, including 1) routes the campaign through
-    the :mod:`repro.parallel` pooled executor; its canonical report is
-    bit-identical across worker counts. ``faults`` (a spec string) is
-    only honoured on that path, where it derives one deterministic plan
-    per unit id; sequential callers install a plan globally instead.
+    Zones are the explicit ``zones`` list, or ``num_zones`` generated
+    from ``seed``. Extra keyword arguments split by name:
+    :class:`VerifyOptions` fields (``analysis=False``,
+    ``smoke_first=False``, ``depth=...``) join the options every unit
+    runs with, everything else configures the zone
+    :class:`~repro.zonegen.GeneratorConfig`. ``budget_seconds``,
+    ``budget_fuel``, ``workers`` and ``faults`` set the options fields of
+    the same meaning.
+
+    With ``smoke_first`` (the default) the differential tester runs
+    before each proof; the prover must refute every zone the tester
+    does, or the campaign aborts as unsound. ``cache`` (a
+    :class:`repro.incremental.cache.SummaryCache`) is shared by every
+    in-process unit; pooled runs open its directory per worker. Budgets
+    bound each plan unit of each zone; exhaustion records ``UNKNOWN``,
+    a compile/verify error records a typed ``ERROR``, and the campaign
+    moves on. ``faults`` derives one fault plan per unit id, so a faulted
+    campaign's canonical report is the same for any ``workers``.
+
+    ``checkpoint`` names a JSONL file that receives one atomic record per
+    completed unit; with ``resume=True`` the units already in it are
+    replayed bit-identically (everything but wall-clock time), so a
+    SIGKILLed campaign restarts where it died, with or without
+    ``workers``.
     """
-    if workers is not None:
-        from repro.core.options import VerifyOptions
-        from repro.parallel import run_campaign_parallel
+    from repro.incremental.digest import engine_digest, zone_digest
+    from repro.parallel.counters import PerfCounters
 
-        cache_dir = None
-        if cache is not None and not getattr(cache, "memory_only", False):
-            cache_dir = str(cache.cache_dir)
-        options = VerifyOptions(
-            budget_seconds=budget_seconds,
-            fuel=budget_fuel,
-            workers=workers,
-            faults=faults,
-            cache_dir=cache_dir,
-        )
-        return run_campaign_parallel(
-            version,
-            num_zones=num_zones,
-            seed=seed,
-            options=options,
-            checkpoint=checkpoint,
-            resume=resume,
-            **config_overrides,
-        )
-    config = GeneratorConfig(seed=seed, **config_overrides)
-    campaign = Campaign(generator_config=config, num_zones=num_zones)
-    return campaign.run(
+    option_names = {f.name for f in fields(VerifyOptions)}
+    explicit = {"budget_seconds": budget_seconds, "fuel": budget_fuel,
+                "workers": workers, "faults": faults}
+    options = VerifyOptions(**{
+        k: v for k, v in overrides.items() if k in option_names
+    }).with_(**{k: v for k, v in explicit.items() if v is not None})
+    if options.cache_dir is None and cache is not None and not cache.memory_only:
+        options = options.with_(cache_dir=str(cache.cache_dir))
+    if zones is None:
+        config = GeneratorConfig(seed=seed, **{
+            k: v for k, v in overrides.items() if k not in option_names
+        })
+        zones = ZoneGenerator(config).stream(num_zones)
+    zones = list(zones)
+
+    started = time.perf_counter()
+    engine = engine_digest(version)
+    units = [
+        CampaignUnit(index, zone, version,
+                     {"index": index, "zone": zone_digest(zone), "engine": engine})
+        for index, zone in enumerate(zones)
+    ]
+    writer, completed = None, {}
+    if checkpoint is not None:
+        header = {
+            "kind": "campaign",
+            "version": version,
+            "engine": engine,
+            "smoke_first": options.smoke_first,
+            "zones": [unit.key["zone"] for unit in units],
+        }
+        writer, completed = CheckpointWriter.open(checkpoint, header,
+                                                  resume=resume)
+    perf = PerfCounters(workers=options.workers or 1, units_total=len(units))
+    verdicts: Dict[int, ZoneVerdict] = {}
+    for unit, verdict, _value in run_checkpointed(
+        units, options, perf, cache, writer, completed
+    ):
+        verdicts[unit.index] = ZoneVerdict.from_json(verdict)
+    return CampaignReport(
         version,
-        cache=cache,
-        budget_seconds=budget_seconds,
-        budget_fuel=budget_fuel,
-        checkpoint=checkpoint,
-        resume=resume,
+        verdicts=[verdicts[index] for index in range(len(units))],
+        elapsed_seconds=time.perf_counter() - started,
+        perf=perf.finish().to_json(),
     )

@@ -52,8 +52,9 @@ class VerifyOptions:
     #: None = sequential; N >= 1 = pooled executor with N processes.
     workers: Optional[int] = None
     #: Fault-plan spec string (see :func:`repro.resilience.faults.parse_spec`).
-    #: In parallel mode the spec is re-derived *per unit id* so injection
-    #: stays deterministic regardless of worker count or scheduling.
+    #: Campaign units and pooled plan units re-derive the spec *per unit
+    #: id*, so injection stays deterministic regardless of worker count or
+    #: scheduling.
     faults: Optional[str] = None
     #: Campaigns: run the differential smoke test before each proof.
     smoke_first: bool = True
@@ -95,14 +96,6 @@ class VerifyOptions:
         from repro.incremental import SummaryCache
 
         return SummaryCache(cache_dir=self.cache_dir)
-
-    def make_fault_plan(self):
-        """The whole-run fault plan (sequential mode), or None."""
-        if self.faults is None:
-            return None
-        from repro.resilience import faults
-
-        return faults.parse_spec(self.faults)
 
     # -- wire format --------------------------------------------------------
 

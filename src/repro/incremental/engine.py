@@ -423,7 +423,7 @@ class IncrementalVerifier:
         import pickle
 
         from repro.parallel.counters import perf_phases
-        from repro.parallel.pool import OK, TIMEOUT, run_units
+        from repro.parallel.pool import OK, TIMEOUT, grace_seconds, run_units
         from repro.parallel.worker import partition_worker
 
         options = self._worker_options()
@@ -452,12 +452,9 @@ class IncrementalVerifier:
                     "options": unit_options.to_json(),
                 }
             )
-        grace = None
-        if options.budget_seconds is not None:
-            grace = 3.0 * options.budget_seconds + 30.0
         fresh: Dict[int, Tuple[Dict, List[BugReport], int, Dict[str, float]]] = {}
         for pos, status, value in run_units(
-            partition_worker, payloads, self.workers, grace
+            partition_worker, payloads, self.workers, grace_seconds(options)
         ):
             position = misses[pos]
             part, key = plan[position]

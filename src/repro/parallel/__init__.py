@@ -1,14 +1,15 @@
 """Process-pool verification executor.
 
-Fans campaign units (zone × engine version) and, within one verify, the
-query-space partitions across worker processes; merges typed verdicts
-deterministically so the canonical report of a pooled run is
-bit-identical to the sequential one's for any worker count. See
-``docs/api.md`` for the execution model.
+:func:`run_units` fans units across worker processes: the plan units of
+one verify (from :class:`~repro.incremental.engine.IncrementalVerifier`)
+and the units of a campaign (from the campaign loop,
+:func:`repro.core.campaign.run_checkpointed`). Callers merge results by
+stable index, so the canonical report of a pooled run is bit-identical
+to the in-process one's for any worker count. See ``docs/api.md`` for
+the execution model.
 """
 
 from repro.parallel.counters import PerfCounters, perf_phases, unit_perf
-from repro.parallel.executor import run_campaign_parallel
 from repro.parallel.pool import DIED, OK, TIMEOUT, run_units
 from repro.parallel.worker import campaign_unit_worker, partition_worker
 
@@ -16,7 +17,6 @@ __all__ = [
     "PerfCounters",
     "perf_phases",
     "unit_perf",
-    "run_campaign_parallel",
     "run_units",
     "campaign_unit_worker",
     "partition_worker",

@@ -15,9 +15,10 @@ pool can go wrong:
 - a **stall** (no unit completes within ``grace_seconds``) terminates
   the pool's processes and yields the outstanding units with status
   ``"timeout"`` so the caller can degrade them to
-  ``UNKNOWN(partial-coverage)`` instead of hanging forever. Budgets are
-  cooperative, so a stall can only mean a worker wedged outside any
-  charge point; the grace period is sized from the unit budget;
+  ``UNKNOWN(wall-clock-deadline)`` instead of hanging forever. Budgets
+  are cooperative, so a stall can only mean a worker wedged outside any
+  charge point; :func:`grace_seconds` sizes the period from the unit
+  budget;
 - a **parent death** (SIGKILL of the run) would leave the workers blocked
   on the call queue forever: every worker inherits the queue's write end,
   so no EOF ever arrives. Each worker therefore polls ``os.getppid()`` and
@@ -66,6 +67,17 @@ def mp_context():
             f"{_ENV_START}={chosen!r} not available here (have {methods})"
         )
     return multiprocessing.get_context(chosen)
+
+
+def grace_seconds(options) -> Optional[float]:
+    """The stall watchdog of a pooled run, sized from the per-unit budget:
+    generous enough that a cooperative deadline always fires first, tight
+    enough that a wedged worker cannot hang the run. None (no watchdog)
+    when ``options`` set no wall-clock budget — then nothing bounds a
+    unit by design."""
+    if options.budget_seconds is None:
+        return None
+    return 3.0 * options.budget_seconds + 30.0
 
 
 def _exit_with_parent(parent: int) -> None:

@@ -10,8 +10,8 @@ import time
 import pytest
 
 import repro
+from repro.core import campaign as campaign_mod
 from repro.core import run_campaign
-from repro.core.campaign import Campaign
 from repro.resilience.checkpoint import (
     CheckpointError,
     CheckpointWriter,
@@ -88,23 +88,20 @@ class TestCampaignResume:
                                checkpoint=str(ckpt), resume=True)
         assert resumed.canonical_json() == baseline.canonical_json()
 
-    def test_resume_skips_completed_units(self, tmp_path):
+    def test_resume_skips_completed_units(self, tmp_path, monkeypatch):
         ckpt = tmp_path / "campaign.jsonl"
         run_campaign("verified", num_zones=2, seed=11, checkpoint=str(ckpt))
 
         calls = []
-        original = Campaign._run_unit
+        original = campaign_mod.run_unit
 
-        def counting(self, index, *args, **kwargs):
+        def counting(index, *args, **kwargs):
             calls.append(index)
-            return original(self, index, *args, **kwargs)
+            return original(index, *args, **kwargs)
 
-        Campaign._run_unit = counting
-        try:
-            run_campaign("verified", num_zones=2, seed=11,
-                         checkpoint=str(ckpt), resume=True)
-        finally:
-            Campaign._run_unit = original
+        monkeypatch.setattr(campaign_mod, "run_unit", counting)
+        run_campaign("verified", num_zones=2, seed=11,
+                     checkpoint=str(ckpt), resume=True)
         assert calls == []  # everything replayed from the checkpoint
 
     def test_sigkill_then_resume_is_bit_identical(self, tmp_path):
